@@ -51,7 +51,6 @@ equivalence suite pins decision streams bit-identical to full checking.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -219,23 +218,19 @@ class IndependenceAnalyzer:
     """The compiled index bound to one live tree snapshot.
 
     :meth:`independent` must be consulted *before* the edit is applied
-    (region tests read pre-edit slots) and its verdict is only meaningful
-    under the caller-guaranteed precondition that the cumulative edit is
-    currently valid — the stream engine's fast-path gate.  Any op the
-    analyzer cannot place (unknown nodes, the root) is conservatively
-    reported dependent; the engine's structural validation then produces
-    the exact same rejection it always did.
+    (region tests walk the pre-edit structure) and its verdict is only
+    meaningful under the caller-guaranteed precondition that the
+    cumulative edit is currently valid — the stream engine's fast-path
+    gate.  Any op the analyzer cannot place (unknown nodes, the root) is
+    conservatively reported dependent; the engine's structural validation
+    then produces the exact same rejection it always did.
     """
 
-    __slots__ = ("_index", "_tree", "_regions", "_regions_rev")
+    __slots__ = ("_index", "_tree")
 
     def __init__(self, index: IndependenceIndex, tree_index: TreeIndex):
         self._index = index
         self._tree = tree_index
-        # sig-id -> sorted anchor intervals (None = whole tree), per rev.
-        self._regions: dict[int, tuple[tuple[int, ...],
-                                       tuple[int, ...]] | None] = {}
-        self._regions_rev = tree_index.revision
 
     @property
     def index(self) -> IndependenceIndex:
@@ -246,34 +241,26 @@ class IndependenceAnalyzer:
         return self._tree
 
     # ------------------------------------------------------------------
-    # Region signatures (anchor frontiers, cached per revision)
+    # Region tests (walk up from the edit point)
     # ------------------------------------------------------------------
-    def _region_of(self, sig: ImpactSignature
-                   ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        idx = self._tree
-        if self._regions_rev != idx.revision:
-            self._regions.clear()
-            self._regions_rev = idx.revision
-        key = id(sig)
-        if key not in self._regions:
-            anchors = sig.region_anchors(idx)
-            if anchors is None:
-                region = None
-            else:
-                intervals = sorted(idx.interval(a) for a in anchors)
-                region = (tuple(lo for lo, _ in intervals),
-                          tuple(hi for _, hi in intervals))
-            self._regions[key] = region
-        return self._regions[key]
+    def _in_region(self, sig: ImpactSignature, nid: int) -> bool:
+        """Is ``nid`` inside the signature's anchor frontier?
 
-    def _in_region(self, sig: ImpactSignature, slot: int) -> bool:
-        """Is ``slot`` inside the signature's anchor frontier?"""
-        region = self._region_of(sig)
-        if region is None:
-            return True
-        starts, ends = region
-        at = bisect_right(starts, slot) - 1
-        return at >= 0 and slot <= ends[at]
+        The frontier's subtrees contain ``nid`` iff one of its
+        ancestors-or-self is an anchor, so the test walks up instead of
+        materialising the frontier: a ``//L`` anchor matches when some
+        node on the walk carries ``L``, a ``/L`` anchor when the root
+        child on the walk does.  The walk is the snapshot's memoised path
+        word (:meth:`~repro.trees.index.TreeIndex.path_labels`) — O(depth)
+        per edit point and revision, with no per-revision frontier cache.
+        """
+        idx = self._tree
+        label = sig.first_label
+        if sig.first_axis is Axis.DESC:
+            return (label is None or idx.label(idx.root) == label
+                    or label in idx.path_labels(nid))
+        path = idx.path_labels(nid)
+        return bool(path) and (label is None or path[0] == label)
 
     # ------------------------------------------------------------------
     # Per-op verdicts
@@ -296,11 +283,10 @@ class IndependenceAnalyzer:
         sigs = self._index.lookup(KIND_ADD, op.label)
         if not sigs:
             return True
-        slot = idx.pre(op.parent)
         root = idx.root
         for sig in sigs:
             # Inside an anchor subtree: the new leaf may witness a match.
-            if self._in_region(sig, slot):
+            if self._in_region(sig, op.parent):
                 return False
             # Outside every anchor — but could the leaf itself become one?
             if sig.first_axis is Axis.DESC:
@@ -319,12 +305,11 @@ class IndependenceAnalyzer:
         sigs = self._index.candidates(KIND_MOVE, present)
         if not sigs:
             return True
-        slot = idx.pre(op.nid)
-        dest = idx.pre(op.new_parent)
         root = idx.root
         for sig in sigs:
             # Leaving or entering an anchor subtree changes its contents.
-            if self._in_region(sig, slot) or self._in_region(sig, dest):
+            if (self._in_region(sig, op.nid)
+                    or self._in_region(sig, op.new_parent)):
                 return False
             if not self._subtree_clear_of_anchors(sig, op.nid, present):
                 return False
@@ -343,9 +328,8 @@ class IndependenceAnalyzer:
         sigs = self._index.candidates(KIND_REMOVE, present)
         if not sigs:
             return True
-        slot = idx.pre(op.nid)
         for sig in sigs:
-            if self._in_region(sig, slot):
+            if self._in_region(sig, op.nid):
                 return False
             if not self._subtree_clear_of_anchors(sig, op.nid, present):
                 return False

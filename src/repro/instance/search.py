@@ -95,7 +95,9 @@ def _cascade_walk(scratch: DataTree, max_moves: int, budget: int,
     targets = list(scratch.node_ids())
     move = context.apply_move if context is not None else scratch.move
     produced = 0
-    for count in range(1, max_moves + 1):
+    # No relocation set is larger than the movable nodes: a caller-supplied
+    # max_moves past that would only spin over empty combinations.
+    for count in range(1, min(max_moves, len(movable)) + 1):
         for nodes in combinations(movable, count):
             for assignment in _assignments(nodes, targets):
                 journal: list[tuple[int, int]] = []

@@ -49,21 +49,14 @@ class MaskedBaseline:
         # constraints must keep reporting duplicated witnesses, exactly
         # like the generic checker.
         base_answers = checker.baseline_answers()
-        self._entries: list[list[Any]] = []
-        for constraint in checker.constraints:
-            answers = base_answers[constraint]
-            labels = {node.nid: node.label for node in answers}
-            # A freshly opened stream has every baseline node present; a
-            # *restored* one may not — no-insert baseline nodes removed
-            # since the stream opened start life in the missing ledger.
-            mask = 0
-            missing: set[int] = set()
-            for node in answers:
-                if node.nid in idx and idx.label(node.nid) == node.label:
-                    mask |= 1 << idx.pre(node.nid)
-                else:
-                    missing.add(node.nid)
-            self._entries.append([constraint, labels, mask, missing])
+        self._entries: list[list[Any]] = [
+            [constraint, {node.nid: node.label
+                          for node in base_answers[constraint]}, 0, set()]
+            for constraint in checker.constraints]
+        # A freshly opened stream has every baseline node present; a
+        # *restored* one may not — no-insert baseline nodes removed since
+        # the stream opened start life in the missing ledger.
+        self._rebuild()
 
     def sync(self) -> None:
         """Catch the masks up with the snapshot's applied edits."""
@@ -96,18 +89,20 @@ class MaskedBaseline:
     _sync = sync  # the historical internal name, kept for callers
 
     def _rebuild(self) -> None:
-        """Past the delta log's horizon: re-anchor every mask from ids."""
+        """Anchor every mask from ids: at open, and whenever the delta log
+        no longer reaches back (past its horizon, or across a root
+        re-space)."""
         idx = self._ctx.index
         for entry in self._entries:
             _, labels, _, missing = entry
-            mask = 0
+            present: list[int] = []
             missing.clear()
             for nid, label in labels.items():
                 if nid in idx and idx.label(nid) == label:
-                    mask |= 1 << idx.pre(nid)
+                    present.append(idx.pre(nid))
                 else:
                     missing.add(nid)
-            entry[2] = mask
+            entry[2] = idx.pack_slots(present)
 
     def entries(self) -> list[BaselineEntry]:
         """The synced per-constraint entries, in constraint order.

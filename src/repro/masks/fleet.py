@@ -40,25 +40,13 @@ from repro.constraints.validity import BaselineValidity, Violation
 from repro.errors import StreamError, TreeError
 from repro.masks.base import MaskBackend, MaskMatrix
 from repro.masks.baseline import MaskedBaseline, diff_violation
-from repro.stream.ops import (
-    AddLeaf,
-    Move,
-    RemoveSubtree,
-    StreamOp,
-    UPDATE_OPS,
-)
+from repro.stream.ops import UPDATE_OPS, StreamOp
 from repro.trees.tree import DataTree
 from repro.xpath.ast import Pattern, normalize
 from repro.xpath.bitset import BitsetEvaluator
 
 _FOLD = 1_000_003
 _MOD = 2 ** 61
-
-# Undo-journal entry tags (inverse edits, replayed newest-first) — the
-# enforcement stream's journal shape, at epoch granularity.
-_UNDO_MOVE = "move"      # (tag, nid, old_parent)
-_UNDO_UNADD = "unadd"    # (tag, nid)
-_UNDO_REVIVE = "revive"  # (tag, ((nid, parent, label), ...) preorder)
 
 
 def _crc(text: str) -> int:
@@ -341,13 +329,16 @@ class FleetEvaluator:
                 raise ValueError(f"no document at position {doc} "
                                  f"(fleet of {len(self._docs)})")
             journal: list[tuple[Any, ...]] = []
+            ctx = self._docs[doc].ctx
             try:
                 for op in edits[doc]:
                     if not isinstance(op, UPDATE_OPS):
                         raise StreamError(
                             f"epochs are the fleet's transaction brackets; "
                             f"marker {op!r} is not a fleet operation")
-                    journal.append(self._perform(doc, op))
+                    self._last_report = None
+                    self._kernel.invalidate(doc)
+                    journal.append(ctx.perform(op))
             except TreeError as err:
                 self._undo(doc, journal)
                 structural[doc] = f"structural error: {err}"
@@ -393,44 +384,9 @@ class FleetEvaluator:
                 total = (total * _FOLD + _crc(note)) % _MOD
         return total
 
-    # ------------------------------------------------------------------
-    # Edit/undo primitives (the stream journal's shape)
-    # ------------------------------------------------------------------
-    def _perform(self, doc: int, op: StreamOp) -> tuple[Any, ...]:
-        fd = self._docs[doc]
-        ctx, tree = fd.ctx, fd.tree
-        self._last_report = None
-        self._kernel.invalidate(doc)
-        if isinstance(op, AddLeaf):
-            nid = ctx.apply_add_leaf(op.parent, op.label, nid=op.nid)
-            return (_UNDO_UNADD, nid)
-        if isinstance(op, Move):
-            old_parent = tree.parent(op.nid)
-            if old_parent is None:
-                raise TreeError("cannot move the root")
-            ctx.apply_move(op.nid, op.new_parent)
-            return (_UNDO_MOVE, op.nid, old_parent)
-        if isinstance(op, RemoveSubtree):
-            if op.nid not in tree:
-                raise TreeError(f"node {op.nid} not in tree")
-            spec = tuple((n, tree.parent(n), tree.label(n))
-                         for n in tree.descendants(op.nid, include_self=True))
-            ctx.apply_remove_subtree(op.nid)
-            return (_UNDO_REVIVE, spec)
-        raise StreamError(f"unknown fleet operation {op!r}")
-
     def _undo(self, doc: int, journal: Sequence[tuple[Any, ...]]) -> None:
-        ctx = self._docs[doc].ctx
         self._kernel.invalidate(doc)
-        for entry in reversed(journal):
-            tag = entry[0]
-            if tag == _UNDO_MOVE:
-                ctx.apply_move(entry[1], entry[2])
-            elif tag == _UNDO_UNADD:
-                ctx.apply_remove_subtree(entry[1])
-            else:
-                for nid, parent, label in entry[1]:
-                    ctx.apply_add_leaf(parent, label, nid=nid)
+        self._docs[doc].ctx.undo(journal)
 
     def __repr__(self) -> str:
         return (f"FleetEvaluator({len(self._docs)} docs, "

@@ -141,19 +141,30 @@ class ServerJournal:
         self._sizes: dict[Path, int] = {}   # written size per file
         self._next_id: dict[str, int] = {}  # per-document leaf-id counter
         self._since_checkpoint: dict[str, int] = {}
+        self._paths: dict[str, tuple[Path, Path, Path]] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
+    def _doc_paths(self, name: str) -> tuple[Path, Path, Path]:
+        """``(directory, journal, checkpoint)`` of a document, built once
+        per name — every submit appends to the journal path."""
+        paths = self._paths.get(name)
+        if paths is None:
+            doc_dir = self.root / _DOCS / _doc_dirname(name)
+            paths = (doc_dir, doc_dir / _JOURNAL, doc_dir / _CHECKPOINT)
+            self._paths[name] = paths
+        return paths
+
     def _doc_dir(self, name: str) -> Path:
-        return self.root / _DOCS / _doc_dirname(name)
+        return self._doc_paths(name)[0]
 
     def doc_journal_path(self, name: str) -> Path:
-        return self._doc_dir(name) / _JOURNAL
+        return self._doc_paths(name)[1]
 
     def doc_checkpoint_path(self, name: str) -> Path:
-        return self._doc_dir(name) / _CHECKPOINT
+        return self._doc_paths(name)[2]
 
     @property
     def sets_journal_path(self) -> Path:

@@ -20,12 +20,13 @@ The hot loop never re-snapshots:
   open, and frozen (:class:`~repro.constraints.validity.BaselineValidity`).
 
 Rejected operations — and transactions whose commit finds the cumulative
-edit invalid — are rolled back through a move/undo journal in the style of
-the refutation search: every applied edit records its inverse (a move
-records the old parent, an add records the leaf to re-remove, a remove
-records the doomed subtree's preorder spec for revival into the freed slot
-run), and a rollback replays the inverses newest-first.  Every submitted
-entry yields exactly one :class:`~repro.stream.log.Decision` in the
+edit invalid — are rolled back through the snapshot's edit/undo journal
+(:meth:`~repro.xpath.snapshot.SnapshotEvaluator.perform` / ``undo``,
+shared with the fleet evaluator): every applied edit records its inverse
+(a move records the old parent, an add records the leaf to re-remove, a
+remove records the doomed subtree's preorder spec, revived as one edit),
+and a rollback replays the inverses newest-first.  Every submitted entry
+yields exactly one :class:`~repro.stream.log.Decision` in the
 append-only :class:`~repro.stream.log.AuditTrail`, with per-constraint
 :class:`~repro.constraints.validity.Violation` witnesses on rejection.
 """
@@ -51,25 +52,12 @@ from repro.errors import CertifyError, StreamError, TreeError
 from repro.masks.baseline import MaskedBaseline
 from repro.obs import MetricsRegistry, registry as _obs_registry
 from repro.stream.log import AuditTrail, Decision
-from repro.stream.ops import (
-    AddLeaf,
-    Begin,
-    Commit,
-    Move,
-    RemoveSubtree,
-    Rollback,
-    StreamOp,
-)
+from repro.stream.ops import Begin, Commit, Rollback, StreamOp
 from repro.trees import serialize
 from repro.trees.node import Node
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
 from repro.xpath.indexed import IndexedEvaluator
-
-# Undo-journal entry tags (inverse edits, replayed newest-first).
-_UNDO_MOVE = "move"      # (tag, nid, old_parent)
-_UNDO_UNADD = "unadd"    # (tag, nid)
-_UNDO_REVIVE = "revive"  # (tag, ((nid, parent, label), ...) preorder)
 
 
 def _build_analyzer(constraints: ConstraintSet, tree_index
@@ -546,41 +534,15 @@ class StreamEnforcer:
         return self._record(op, accepted=True, independent=fast)
 
     def _perform(self, op: StreamOp) -> tuple:
-        """Apply one edit through the live snapshot; return its inverse."""
-        ctx = self._ctx
-        if isinstance(op, AddLeaf):
-            nid = ctx.apply_add_leaf(op.parent, op.label, nid=op.nid)
-            return (_UNDO_UNADD, nid)
-        if isinstance(op, Move):
-            old_parent = self._tree.parent(op.nid)
-            if old_parent is None:
-                raise TreeError("cannot move the root")
-            ctx.apply_move(op.nid, op.new_parent)
-            return (_UNDO_MOVE, op.nid, old_parent)
-        if isinstance(op, RemoveSubtree):
-            tree = self._tree
-            if op.nid not in tree:
-                raise TreeError(f"node {op.nid} not in tree")
-            spec = tuple((n, tree.parent(n), tree.label(n))
-                         for n in tree.descendants(op.nid, include_self=True))
-            ctx.apply_remove_subtree(op.nid)
-            return (_UNDO_REVIVE, spec)
-        raise StreamError(f"unknown stream operation {op!r}")
+        """Apply one edit through the live snapshot's edit/undo journal
+        (:meth:`~repro.xpath.snapshot.SnapshotEvaluator.perform`); return
+        its inverse.  The override point of recompute-from-scratch
+        baselines, together with :meth:`_undo`."""
+        return self._ctx.perform(op)
 
     def _undo(self, journal: Sequence[tuple]) -> None:
-        """Replay inverse edits newest-first (the search-journal pattern:
-        an undone move finds the gap the original left, a revived subtree
-        compacts into the freed slot run)."""
-        ctx = self._ctx
-        for entry in reversed(journal):
-            tag = entry[0]
-            if tag == _UNDO_MOVE:
-                ctx.apply_move(entry[1], entry[2])
-            elif tag == _UNDO_UNADD:
-                ctx.apply_remove_subtree(entry[1])
-            else:
-                for nid, parent, label in entry[1]:
-                    ctx.apply_add_leaf(parent, label, nid=nid)
+        """Replay inverse edits newest-first through the live snapshot."""
+        self._ctx.undo(journal)
 
     # ------------------------------------------------------------------
     # Transactions (flat brackets)

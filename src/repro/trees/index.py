@@ -29,10 +29,12 @@ Incremental maintenance
 -----------------------
 Slots are allocated with gaps (``SLOT_GAP`` per node at build time), so the
 snapshot survives small edits *in place*: :meth:`apply_move`,
-:meth:`apply_add_leaf` and :meth:`apply_remove_subtree` mutate the tree
+:meth:`apply_add_leaf`, :meth:`apply_add_subtree` (one edit reviving a
+whole removed subtree) and :meth:`apply_remove_subtree` mutate the tree
 **and** the index together, renumbering only the smallest enclosing subtree
 whose interval still has room (a weight-balanced host search; the root is
-renumbered with fresh gaps when nothing smaller fits).  This is what lets
+re-spaced with fresh gaps when nothing smaller fits — a rebuild, counted
+by :attr:`rebuild_count`).  This is what lets
 the move/undo journals of the refutation search
 (:mod:`repro.instance.search`, :func:`repro.instance.no_remove_engine.
 merge_variants`) keep one live snapshot across thousands of candidate
@@ -42,7 +44,8 @@ Every applied edit bumps :attr:`revision` — evaluators key their memos on
 it — appends an :class:`EditDelta` to a bounded log (:meth:`deltas_since`),
 from which the set-at-a-time evaluator *patches* its cached predicate masks
 instead of recomputing them (only the ancestor chains of the edit points
-can change downward structure), and re-syncs the recorded tree
+can change downward structure; a root re-space resets the log instead, so
+consumers recompute cold), and re-syncs the recorded tree
 :attr:`~repro.trees.tree.DataTree.version`, so :attr:`fresh` stays true.  Mutating the tree *behind* the
 index (directly through :class:`DataTree` methods) still stales it, exactly
 as before: an index never observes mutations it did not apply.
@@ -50,8 +53,8 @@ as before: an index never observes mutations it did not apply.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Iterable
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Sequence
 
 from repro.errors import TreeError
 from repro.trees.node import Node
@@ -62,6 +65,7 @@ HOST_DENSITY = 2   # a renumber host needs >= DENSITY * nodes slots of width
 DELTA_LOG_CAP = 64  # edit deltas retained for delta-maintained consumers
 
 _BIT = tuple(1 << b for b in range(8))  # byte-view membership test masks
+_CLEAR = tuple(0xFF ^ b for b in _BIT)  # byte-view bit-clear masks
 
 
 class EditDelta:
@@ -79,7 +83,8 @@ class EditDelta:
     * ``vanished`` — ``(nid, old_slot)`` for every deleted node (remove
       only; the id lets baseline-mask maintainers recognise a later
       revival of the same node);
-    * ``added`` — identifiers of freshly attached nodes (add-leaf only);
+    * ``added`` — identifiers of freshly attached nodes (add-leaf and
+      add-subtree);
     * ``dirty`` — identifiers whose *subtree contents* changed: the
       ancestor chains of the old and new attachment points.  This set is
       upward closed, which is what makes patching sound for nested
@@ -107,17 +112,35 @@ class EditDelta:
         masks, baseline answer masks): moved bit values are read from the
         *pre-clear* mask — a new slot may reuse a slot freed in this same
         edit — and callers replay chained deltas oldest-first so slot
-        reuse across edits resolves in order.
+        reuse across edits resolves in order.  Old bits are read through
+        one byte view and new bits written into one ``bytearray``, so a
+        patch costs O(k + width/8) instead of one big-int shift per
+        relocated bit.
         """
-        sets = 0
-        clear = 0
-        for _, old, new in self.relocated:
-            if (mask >> old) & 1:
-                sets |= 1 << new
-            clear |= 1 << old
-        for _, old in self.vanished:
-            clear |= 1 << old
-        return (mask & ~clear) | sets
+        relocated = self.relocated
+        vanished = self.vanished
+        if not mask or not (relocated or vanished):
+            return mask
+        view = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        limit = len(view) << 3
+        buf = bytearray(view)
+        bits = _BIT
+        clear = _CLEAR
+        moved: list[int] = []
+        for _, old, new in relocated:
+            if old < limit and view[old >> 3] & bits[old & 7]:
+                buf[old >> 3] &= clear[old & 7]
+                moved.append(new)
+        for _, old in vanished:
+            if old < limit:
+                buf[old >> 3] &= clear[old & 7]
+        if moved:
+            top = (max(moved) >> 3) + 1
+            if top > len(buf):
+                buf.extend(bytes(top - len(buf)))
+            for new in moved:
+                buf[new >> 3] |= bits[new & 7]
+        return int.from_bytes(buf, "little")
 
     def __repr__(self) -> str:
         return (f"EditDelta(rev={self.revision}, moved={len(self.relocated)}, "
@@ -136,7 +159,8 @@ class TreeIndex:
                  "_slots", "_node_at", "_depth", "_labels", "_children",
                  "_parent", "_by_label", "_paths", "_shape", "_shape_hash",
                  "_revision", "_rebuilds", "_label_masks", "_all_mask",
-                 "_kids_masks", "_parent_slots", "_delta_log", "_capture")
+                 "_kids_masks", "_parent_slots", "_delta_log", "_capture",
+                 "_respaced")
 
     def __init__(self, tree: DataTree):
         self._tree = tree
@@ -202,6 +226,7 @@ class TreeIndex:
         self._parent_slots: dict[int, int] | None = None
         self._delta_log: list[EditDelta] = []
         self._capture: dict[int, int] | None = None
+        self._respaced = False
 
     # ------------------------------------------------------------------
     # Snapshot identity
@@ -564,9 +589,9 @@ class TreeIndex:
         """Close out one applied edit: new revision, caches re-keyed.
 
         The bitset caches (label/all/children masks, parent-slot table) are
-        *patched* by the edit paths rather than dropped, so the refutation
-        search's journals pay per-edit cost proportional to the renumbered
-        region, not to the tree.
+        *patched* by the edit paths rather than dropped (a root re-space
+        excepted), so the refutation search's journals pay per-edit cost
+        proportional to the renumbered region, not to the tree.
         """
         self._revision += 1
         self._built_version = self._tree.version
@@ -588,7 +613,13 @@ class TreeIndex:
                    vanished: tuple[tuple[int, int], ...],
                    added: tuple[int, ...],
                    dirty_anchors: tuple[int, ...]) -> None:
-        """Record the edit just closed by :meth:`_bump` in the delta log."""
+        """Record the edit just closed by :meth:`_bump` in the delta log
+        (or reset the log, when the edit re-spaced the root)."""
+        log = self._delta_log
+        if self._respaced:
+            self._respaced = False
+            log.clear()
+            return
         slot = self._slot
         relocated = tuple((n, old, now) for n, old in capture.items()
                           if (now := slot.get(n)) is not None and now != old)
@@ -596,7 +627,6 @@ class TreeIndex:
         for anchor in dirty_anchors:
             for n in self._chain(anchor):
                 dirty[n] = None
-        log = self._delta_log
         log.append(EditDelta(self._revision, relocated, vanished, added,
                              tuple(dirty)))
         if len(log) > DELTA_LOG_CAP:
@@ -697,8 +727,9 @@ class TreeIndex:
 
         Unslotted nodes hanging off the structural maps (a freshly attached
         subtree) receive slots; ``pre``/``post`` of ``host`` itself are
-        preserved (root excepted: the root re-spaces with fresh gaps, which
-        is the full-rebuild fallback counted by :attr:`rebuild_count`)."""
+        preserved.  The root has no interval to keep: it is re-spaced with
+        fresh gaps by :meth:`_respace`, the full-rebuild fallback counted
+        by :attr:`rebuild_count`."""
         children = self._children
         # New document order of the host subtree, depths refreshed as the
         # walk descends (moved nodes change depth).
@@ -714,23 +745,29 @@ class TreeIndex:
                 for c in reversed(kids):
                     depth[c] = d
                     stack.append(c)
-        m = len(order)
         if host == self._root:
-            self._rebuilds += 1
-            lo = 0
-            new_slots = [i * SLOT_GAP for i in range(m)]
+            self._respace(order)
         else:
-            lo, hi = self._slot[host], self._post[host]
-            width = hi - lo + 1
-            if m == 1:
-                new_slots = [lo]
-            else:
-                step = width - 1
-                new_slots = [lo + (i * step) // (m - 1) for i in range(m)]
+            self._relayout(host, order)
+        slot_of = self._slot
+        post = self._post
+        for n in reversed(order):
+            kids = children[n]
+            post[n] = post[kids[-1]] if kids else slot_of[n]
+
+    def _relayout(self, host: int, order: list[int]) -> None:
+        """Spread ``order`` (the host subtree's preorder) evenly over the
+        host's own interval, patching every slot structure in place."""
+        m = len(order)
+        lo, hi = self._slot[host], self._post[host]
+        if m == 1:
+            new_slots = [lo]
+        else:
+            step = hi - lo
+            new_slots = [lo + (i * step) // (m - 1) for i in range(m)]
         # Drop the old slots of the already-slotted part of the subtree
         # (detached nodes in `order` have none), then slot the new layout.
-        if host in self._slot:
-            self._detach_subtree(host)
+        self._detach_subtree(host)
         slots = self._slots
         at = bisect_left(slots, lo)
         slots[at:at] = new_slots
@@ -757,12 +794,36 @@ class TreeIndex:
         if parent_slots is not None:
             parent_d = self._parent
             for n in order:
-                if n != self._root:
-                    parent_slots[slot_of[n]] = slot_of[parent_d[n]]  # type: ignore[index]
-        post = self._post
-        for n in reversed(order):
-            kids = children[n]
-            post[n] = post[kids[-1]] if kids else slot_of[n]
+                parent_slots[slot_of[n]] = slot_of[parent_d[n]]  # type: ignore[index]
+
+    def _respace(self, order: list[int]) -> None:
+        """Re-lay the whole tree (``order`` = its preorder) on fresh gaps.
+
+        Every slot changes, so this is a rebuild, not an edit: the slot
+        maps are laid out anew, the bitset caches dropped (they refill
+        lazily) and the delta log reset instead of recording a relocation
+        per node — :meth:`deltas_since` then answers ``None`` for every
+        earlier revision and consumers take their cold paths.
+        """
+        self._rebuilds += 1
+        slots = [i * SLOT_GAP for i in range(len(order))]
+        self._slots = slots
+        self._slot = dict(zip(order, slots))
+        self._node_at = dict(zip(slots, order))
+        labels = self._labels
+        by_label: dict[str, list[int]] = {}
+        for n, s in zip(order, slots):
+            bucket = by_label.get(labels[n])
+            if bucket is None:
+                by_label[labels[n]] = [s]
+            else:
+                bucket.append(s)
+        self._by_label = by_label
+        self._label_masks = {}
+        self._all_mask = None
+        self._kids_masks = {}
+        self._parent_slots = None
+        self._respaced = True
 
     def apply_move(self, nid: int, new_parent: int) -> None:
         """Move ``nid`` under ``new_parent`` in the tree *and* the index.
@@ -872,41 +933,75 @@ class TreeIndex:
         self._parent[new_id] = parent
         self._children[new_id] = ()
         self._children[parent] = self._children[parent] + (new_id,)
-        self._depth[new_id] = self._depth[parent] + 1
+        self._attach_new(parent, [new_id])
+        return new_id
+
+    def apply_add_subtree(self, spec: Sequence[tuple[int, int, str]]
+                          ) -> None:
+        """Attach a whole subtree in the tree *and* the index, as ONE edit.
+
+        ``spec`` lists ``(nid, parent, label)`` triples, parents before
+        children — a removed subtree's preorder, which is how the
+        edit/undo journals revive it.  The first triple's parent must be
+        in the snapshot (the new subtree becomes its last child); every
+        later parent must be an earlier triple.  All ``k`` nodes are
+        slotted by one host search (the freed slot run right after the
+        parent's interval, else one host renumber), with one revision
+        bump and one :class:`EditDelta` listing the ``k`` ids in
+        ``added``.  Raises :class:`TreeError` with tree and index both
+        untouched on a malformed spec.
+        """
+        if not spec:
+            raise TreeError("empty subtree spec")
+        top = spec[0][1]
+        if top not in self._slot:
+            raise TreeError(f"parent {top} not in snapshot")
+        labels = self._labels
+        fresh: dict[int, list[int]] = {}
+        for i, (nid, parent, _) in enumerate(spec):
+            if nid in labels or nid in fresh:
+                raise TreeError(f"node id {nid} already present")
+            if i and parent not in fresh:
+                raise TreeError(f"parent {parent} of {nid} is not an "
+                                f"earlier node of the spec")
+            fresh[nid] = []
+        add_child = self._tree.add_child
+        parent_d = self._parent
+        for nid, parent, label in spec:
+            add_child(parent, label, nid=nid)
+            labels[nid] = label
+            parent_d[nid] = parent
+            if parent in fresh:
+                fresh[parent].append(nid)
+        children = self._children
+        root = spec[0][0]
+        children[top] = children[top] + (root,)
+        for nid, kids in fresh.items():
+            children[nid] = tuple(kids)
+        # Preorder of the new subtree (the spec's own order when it is one).
+        order: list[int] = []
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            stack.extend(reversed(children[n]))
+        self._attach_new(top, order)
+
+    def _attach_new(self, parent: int, nodes: list[int]) -> None:
+        """Slot freshly attached ``nodes`` (structural maps already set,
+        preorder; both placement paths set their depths) under ``parent``
+        and close out the edit."""
         self._kids_masks.pop(parent, None)
-        old_post = self._post[parent]
-        slots = self._slots
-        i = bisect_right(slots, old_post)
-        free = old_post + 1
         capture: dict[int, int] = {}
-        if i == len(slots) or free < slots[i]:
-            # Fast path: the slot right after the parent's interval is free.
-            slots.insert(i, free)
-            self._node_at[free] = new_id
-            self._slot[new_id] = free
-            self._post[new_id] = free
-            insort(self._by_label.setdefault(label, []), free)
-            mask = self._label_masks.get(label)
-            if mask is not None:
-                self._label_masks[label] = mask | (1 << free)
-            if self._all_mask is not None:
-                self._all_mask |= 1 << free
-            if self._parent_slots is not None:
-                self._parent_slots[free] = self._slot[parent]
-            a: int | None = parent
-            while a is not None and self._post[a] == old_post:
-                self._post[a] = free
-                a = self._parent[a]
-        else:
+        if not self._attach_after(parent, nodes):
             self._capture = capture
             try:
-                self._renumber_subtree(self._find_host(parent, 1))
+                self._renumber_subtree(self._find_host(parent, len(nodes)))
             finally:
                 self._capture = None
         self._bump()
-        self._log_delta(capture, vanished=(), added=(new_id,),
+        self._log_delta(capture, vanished=(), added=tuple(nodes),
                         dirty_anchors=(parent,))
-        return new_id
 
     def apply_remove_subtree(self, nid: int) -> None:
         """Delete ``nid``'s subtree from the tree *and* the index."""
